@@ -14,7 +14,6 @@ import (
 	"qframan/internal/core"
 	"qframan/internal/dfpt"
 	"qframan/internal/geom"
-	"qframan/internal/linalg"
 	"qframan/internal/par"
 	"qframan/internal/structure"
 )
@@ -117,19 +116,14 @@ func kernels() error {
 	fmt.Printf("paired vs PR 4 baseline: width-8 total %.2fs vs %.2fs -> %.2fx improvement (criterion >= 1.5x)\n",
 		w8total, pr4Baseline.width8Total, improvement)
 
-	bstats := linalg.GemmBatchStats()
-	fmt.Printf("batch aggregator: %d submissions -> %d flushes (%d merged concurrent cycles)\n",
-		bstats.Submits, bstats.Flushes, bstats.Merged)
-
-	// Batching/width parity: a small grid-mode system computed across
-	// kernel widths and batching on/off must hash identically — the live
-	// counterpart of the modeled numbers above, proving the speedups never
-	// bought a bit of divergence.
-	parityHashes, parityOK, err := batchingParity()
+	// Width parity: a small grid-mode system computed across kernel widths
+	// must hash identically — the live counterpart of the modeled numbers
+	// above, proving the speedups never bought a bit of divergence.
+	parityHashes, parityOK, err := widthParity()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("batching/width parity (dimer, widths 1/3/8 x batching on/off): ok=%v hash=%s\n",
+	fmt.Printf("width parity (dimer, widths 1/3/8): ok=%v hash=%s\n",
 		parityOK, parityHashes[0])
 
 	kernelJSON := make(map[string]float64, len(byKernel))
@@ -147,7 +141,6 @@ func kernels() error {
 			"go run ./cmd/qfscale -exp kernels",
 			"QF_KERNEL_THREADS=1 go run ./examples/waterbox   # live paired serial run",
 			"QF_KERNEL_THREADS=8 go run ./examples/waterbox   # live paired run on an 8-core host",
-			"QF_GEMM_BATCH=0 go run ./cmd/qfscale -exp kernels  # batching-off ablation",
 		},
 		"baseline_pr4": map[string]any{
 			"wall_serial_seconds":  pr4Baseline.wallSerial,
@@ -165,10 +158,6 @@ func kernels() error {
 			"widths":                    rows,
 			"spectrum_sha256":           specHash,
 			"improvement_vs_pr4_width8": round2(improvement),
-			"batch_aggregator": map[string]any{
-				"submits": bstats.Submits, "items": bstats.Items,
-				"flushes": bstats.Flushes, "merged": bstats.Merged,
-			},
 			"parity": map[string]any{
 				"ok":     parityOK,
 				"hashes": parityHashes,
@@ -200,31 +189,26 @@ func spectrumHash(intensity []float64) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// batchingParity runs a small grid-mode spectrum across kernel widths and
-// batching on/off, returning every run's spectrum hash and whether they all
-// agree.
-func batchingParity() ([]string, bool, error) {
+// widthParity runs a small grid-mode spectrum at kernel widths 1/3/8,
+// returning every run's spectrum hash and whether they all agree.
+func widthParity() ([]string, bool, error) {
 	defer par.SetBudget(0)
-	defer linalg.SetGemmBatching(true)
 	sys := structure.BuildWaterDimerSystem(1)
 	var hashes []string
-	for _, batching := range []bool{true, false} {
-		for _, w := range []int{1, 3, 8} {
-			linalg.SetGemmBatching(batching)
-			par.SetBudget(w)
-			cfg := core.DefaultConfig()
-			cfg.Raman.FreqMin, cfg.Raman.FreqMax, cfg.Raman.FreqStep = 200, 4000, 10
-			cfg.Sched.NumLeaders = 1
-			cfg.Sched.WorkersPerLeader = 1
-			cfg.Sched.Job.DFPT.Coulomb = dfpt.GridCoulomb
-			cfg.Sched.Job.DFPT.GridSpacing = 0.8
-			cfg.Sched.Job.DFPT.GridMargin = 4.0
-			res, err := core.ComputeRaman(sys, cfg)
-			if err != nil {
-				return nil, false, fmt.Errorf("parity width %d batching %v: %w", w, batching, err)
-			}
-			hashes = append(hashes, spectrumHash(res.Spectrum.Intensity))
+	for _, w := range []int{1, 3, 8} {
+		par.SetBudget(w)
+		cfg := core.DefaultConfig()
+		cfg.Raman.FreqMin, cfg.Raman.FreqMax, cfg.Raman.FreqStep = 200, 4000, 10
+		cfg.Sched.NumLeaders = 1
+		cfg.Sched.WorkersPerLeader = 1
+		cfg.Sched.Job.DFPT.Coulomb = dfpt.GridCoulomb
+		cfg.Sched.Job.DFPT.GridSpacing = 0.8
+		cfg.Sched.Job.DFPT.GridMargin = 4.0
+		res, err := core.ComputeRaman(sys, cfg)
+		if err != nil {
+			return nil, false, fmt.Errorf("parity width %d: %w", w, err)
 		}
+		hashes = append(hashes, spectrumHash(res.Spectrum.Intensity))
 	}
 	ok := true
 	for _, h := range hashes[1:] {

@@ -8,7 +8,9 @@
 // host so results are bit-identical, while a calibrated cost model
 // accumulates the *virtual* time an accelerator (ORISE-like GPU or
 // Sunway-like many-core CPE cluster) would have spent, which is what the
-// Fig. 9 and Table I benchmarks report.
+// Fig. 9 and Table I benchmarks report. This cost model is the only place
+// calls are grouped by shape class: the host executor it wraps runs every
+// call of a submission in one fan-out.
 package accel
 
 import (
@@ -191,7 +193,7 @@ func (e *BatchingExecutor) Execute(calls []linalg.GemmCall) {
 		return
 	}
 
-	// Elastic batching: group by padded shape; offload profitable groups.
+	// Shape-class batching: group by padded shape; offload profitable groups.
 	groups := map[shapeKey][]int{}
 	for i := range calls {
 		m, k, n := calls[i].Shape()

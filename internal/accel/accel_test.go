@@ -64,7 +64,7 @@ func TestBatchingReducesModeledTime(t *testing.T) {
 	naive := NewBatchingExecutor(ORISEDevice(), Options{Stride: 32, MinBatch: 64, Offload: true, BatchingDisabled: true})
 	naive.Execute(cloneCalls(calls))
 
-	// Elastic batching.
+	// Shape-class batching.
 	batched := NewBatchingExecutor(ORISEDevice(), DefaultOptions())
 	batched.Execute(cloneCalls(calls))
 

@@ -2,8 +2,6 @@ package core
 
 import (
 	"crypto/sha256"
-	"math"
-	"runtime"
 	"testing"
 
 	"qframan/internal/dfpt"
@@ -11,33 +9,37 @@ import (
 	"qframan/internal/linalg"
 	"qframan/internal/par"
 	"qframan/internal/store"
-	"qframan/internal/structure"
 )
 
-// ISSUE 8 extends the PR 5 width-invariance property to the elastic batch
-// path: FragmentData and full spectra must be bit-identical not only across
-// kernel widths but also with GEMM batching on vs off — the batch planner's
-// grouping, cross-fragment merging, and transpose-pair skips must be
-// invisible to every output bit.
+// perCallExecutor submits each grid GEMM as its own single-call batch, so
+// no two calls ever share a fan-out.
+type perCallExecutor struct{ ops *linalg.Ops }
+
+func (e perCallExecutor) Execute(calls []linalg.GemmCall) {
+	for i := range calls {
+		linalg.ExecuteBatched(calls[i:i+1], e.ops)
+	}
+}
 
 // TestFragmentDataBitIdenticalAcrossWidthsAndBatching runs the grid-Coulomb
 // fragment pipeline over the cross product of kernel widths {1, 3, NumCPU}
-// and batching {on, off}, requiring every combination to produce the same
-// store-codec bytes.
+// and batching {on, off} — the default host executor's one fan-out per
+// batch against one fan-out per call — requiring every combination to
+// produce the same store-codec bytes.
 func TestFragmentDataBitIdenticalAcrossWidthsAndBatching(t *testing.T) {
-	opt := hessian.DefaultJobOptions()
-	opt.DFPT.Coulomb = dfpt.GridCoulomb
-	opt.DFPT.GridSpacing = 0.8
-	opt.DFPT.GridMargin = 4.0
-
 	defer par.SetBudget(0)
-	defer linalg.SetGemmBatching(true)
 	var ref *hessian.FragmentData
 	var refSum [sha256.Size]byte
 	var refDesc string
 	for _, batching := range []bool{true, false} {
 		for _, w := range kernelWidths() {
-			linalg.SetGemmBatching(batching)
+			opt := hessian.DefaultJobOptions()
+			opt.DFPT.Coulomb = dfpt.GridCoulomb
+			opt.DFPT.GridSpacing = 0.8
+			opt.DFPT.GridMargin = 4.0
+			if !batching {
+				opt.DFPT.Executor = perCallExecutor{ops: &linalg.Ops{}}
+			}
 			par.SetBudget(w)
 			data, err := hessian.ComputeFragment(waterFragment(), opt)
 			if err != nil {
@@ -59,38 +61,6 @@ func TestFragmentDataBitIdenticalAcrossWidthsAndBatching(t *testing.T) {
 			if sum != refSum {
 				t.Fatalf("width %d batching %v: codec hash differs from %s", w, batching, refDesc)
 			}
-		}
-	}
-}
-
-// TestSpectrumBitIdenticalBatchingOnOff runs the full pipeline on the water
-// box system with batching on and off — at a parallel width, so the
-// cross-fragment aggregator actually has concurrent submitters to merge —
-// and requires the spectra to match to the last bit.
-func TestSpectrumBitIdenticalBatchingOnOff(t *testing.T) {
-	sys := structure.BuildWaterDimerSystem(1)
-	run := func(batching bool) *Result {
-		linalg.SetGemmBatching(batching)
-		cfg := DefaultConfig()
-		cfg.Raman.FreqMin, cfg.Raman.FreqMax, cfg.Raman.FreqStep = 200, 4000, 10
-		res, err := ComputeRaman(sys, cfg)
-		if err != nil {
-			t.Fatalf("batching %v: %v", batching, err)
-		}
-		return res
-	}
-	defer par.SetBudget(0)
-	defer linalg.SetGemmBatching(true)
-	par.SetBudget(runtime.NumCPU())
-	on := run(true)
-	off := run(false)
-	if len(on.Spectrum.Intensity) != len(off.Spectrum.Intensity) {
-		t.Fatalf("spectrum lengths differ: %d vs %d", len(on.Spectrum.Intensity), len(off.Spectrum.Intensity))
-	}
-	for i := range on.Spectrum.Intensity {
-		if math.Float64bits(on.Spectrum.Intensity[i]) != math.Float64bits(off.Spectrum.Intensity[i]) {
-			t.Fatalf("intensity[%d] differs between batching on and off: %x vs %x", i,
-				math.Float64bits(on.Spectrum.Intensity[i]), math.Float64bits(off.Spectrum.Intensity[i]))
 		}
 	}
 }

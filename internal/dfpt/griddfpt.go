@@ -231,9 +231,8 @@ func (e *gridEnv) addGridResponse(m *scf.Model, p1, h1 *linalg.Matrix, dir int, 
 			} else {
 				// Naive: Xᵀ(VX) + Xᵀ(V∇X) + (V∇X)ᵀX — three GEMMs. The third
 				// term is ∇Xᵀ·V·X written with V absorbed into ∇X, which
-				// makes it the literal operand-swapped transpose pair of the
-				// second call — the pattern the batch planner's §V-D strength
-				// reduction detects and replaces with a bit-exact copy.
+				// makes it the literal operand-swapped transpose of the
+				// second call: the redundant GEMM §V-D's reduction removes.
 				vx := linalg.NewMatrix(npts, nloc)
 				vgx := linalg.NewMatrix(npts, nloc)
 				for p := 0; p < npts; p++ {
@@ -274,8 +273,7 @@ func (e *gridEnv) addGridResponse(m *scf.Model, p1, h1 *linalg.Matrix, dir int, 
 				if opt.StrengthReduction {
 					v = hb.mats[0].At(i, j) + hb.mats[0].At(j, i)
 				} else {
-					// m1 symmetric + m2 + m3, where m3 = m2ᵀ bit for bit
-					// (whether the planner skipped it or computed it).
+					// m1 symmetric + m2 + m3, where m3 = m2ᵀ bit for bit.
 					v = hb.mats[0].At(i, j) + hb.mats[1].At(i, j) + hb.mats[2].At(i, j)
 				}
 				h1.Add(gi, gj, v)

@@ -1,67 +1,35 @@
 package linalg
 
 import (
-	"os"
 	"sync/atomic"
 
 	"qframan/internal/par"
 )
 
-// This file is the host side of the elastic batched-GEMM offload (paper
-// §V-C): independent GemmCalls are grouped into same-shape-class batches —
-// dimensions padded up to multiples of BatchStride, exactly the grouping the
-// simulated accelerator (internal/accel) offloads — and each group runs as
-// one "gemm_batch" kernel that fans across batch members. Groups from
-// *concurrent* DFPT cycles are merged opportunistically through a
-// process-wide par.Elastic aggregator, so several fragments in flight yield
-// fewer, larger batches (more work per launch) without any added latency
-// when a cycle runs alone.
+// ExecuteBatched runs a set of independent GemmCalls — the batched grid
+// GEMMs of the paper's §V-C — as one "gemm_batch" kernel that fans across
+// the calls. Each call runs at its true shape with the inline blocked
+// kernel, so every output element accumulates the same ascending-k chain as
+// a direct Gemm; calls write disjoint C matrices, so how the pool splits the
+// batch cannot change a bit. Every call adds to GEMMCalls and FLOPs. Blocks
+// until every call's C is final.
 //
-// Padding exists only in the grouping key. The host kernel computes every
-// call at its true shape — the blocked micro-kernel masks its register-tile
-// tails at write-back (block.go), so padded lanes are never even computed,
-// let alone leaked — which is why batching on vs off is bit-identical.
-
-// BatchStride is the shape-class padding stride (the paper batches with a
-// stride of 32); a call of shape (m,k,n) lands in class (⌈m/32⌉·32, …).
-const BatchStride = 32
-
-// gemmBatching gates the batch path: 1 = group + aggregate (default),
-// 0 = run every call as a plain Gemm. QF_GEMM_BATCH=0/off/false disables.
-var gemmBatching atomic.Bool
-
-func init() {
-	on := true
-	switch os.Getenv("QF_GEMM_BATCH") {
-	case "0", "off", "false":
-		on = false
+// Shape-class grouping and padding live only in internal/accel's cost
+// model, where a device launch has a cost to amortize; a host core has none.
+func ExecuteBatched(calls []GemmCall, ops *Ops) {
+	if len(calls) == 0 {
+		return
 	}
-	gemmBatching.Store(on)
-}
-
-// SetGemmBatching toggles the batched execution path at runtime (the
-// QF_GEMM_BATCH env knob sets the initial state). Results never depend on
-// the setting — only grouping and wall time do.
-func SetGemmBatching(on bool) { gemmBatching.Store(on) }
-
-// GemmBatching reports whether the batch path is enabled.
-func GemmBatching() bool { return gemmBatching.Load() }
-
-// batchClass is the padded shape class used for grouping.
-type batchClass struct{ m, k, n int }
-
-func padStride(v int) int { return (v + BatchStride - 1) / BatchStride * BatchStride }
-
-func classOf(c *GemmCall) batchClass {
-	m, k, n := c.Shape()
-	return batchClass{padStride(m), padStride(k), padStride(n)}
-}
-
-// gemmBatcher merges same-class groups across concurrent submitters. The
-// flush runs each call at its true shape with the inline blocked kernel —
-// parallelism comes from fanning across batch members, so profiling sees one
-// flat "gemm_batch" region with no nested kernels.
-var gemmBatcher = par.NewElastic(func(_ batchClass, calls []GemmCall) {
+	if ops == nil {
+		ops = &DefaultOps
+	}
+	var flops int64
+	for i := range calls {
+		flops += calls[i].FLOPs()
+	}
+	ops.GEMMCalls.Add(int64(len(calls)))
+	ops.FLOPs.Add(flops)
+	batchFlushes.Add(1)
 	par.For("gemm_batch", len(calls), 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			c := &calls[i]
@@ -69,109 +37,18 @@ var gemmBatcher = par.NewElastic(func(_ batchClass, calls []GemmCall) {
 			gemmBlocked(c.TransA, c.TransB, c.Alpha, c.A, c.B, c.Beta, c.C, m, k, n, "", true)
 		}
 	})
-})
-
-// GemmBatchStats returns the cross-fragment aggregator counters (how many
-// submissions, how many flushes, how many flushes merged work from
-// concurrent cycles).
-func GemmBatchStats() par.ElasticStats { return gemmBatcher.Stats() }
-
-// transposeInto sets dst = srcᵀ elementwise; shapes must be transposes.
-func transposeInto(dst, src *Matrix) {
-	if dst.Rows != src.Cols || dst.Cols != src.Rows {
-		panic("linalg: transposeInto shape mismatch")
-	}
-	for i := 0; i < src.Rows; i++ {
-		row := src.Row(i)
-		for j, v := range row {
-			dst.Data[j*dst.Cols+i] = v
-		}
-	}
 }
 
-// transposePairOf reports whether call j is the exact transpose pair of call
-// i — C_j = alpha·op(B_i)ᵀ·op(A_i)ᵀ = C_iᵀ — detected by pointer identity on
-// the operands. Both calls must overwrite their outputs (beta == 0, so no
-// stale-C term), share alpha, and write distinct C matrices. When it holds,
-// C_j's every element accumulates the same products in the same ascending-k
-// order as the mirrored element of C_i (a·b == b·a bitwise), so copying the
-// transpose reproduces the skipped GEMM bit for bit.
-func transposePairOf(i, j *GemmCall) bool {
-	return j.A == i.B && j.B == i.A &&
-		j.TransA == !i.TransB && j.TransB == !i.TransA &&
-		j.Alpha == i.Alpha && i.Beta == 0 && j.Beta == 0 &&
-		i.C != j.C
+// batchFlushes counts non-empty ExecuteBatched fan-outs, process-wide.
+var batchFlushes atomic.Int64
+
+// BatchStats counts batch fan-outs.
+type BatchStats struct {
+	Flushes int64 // non-empty ExecuteBatched calls
+	Merged  int64 // always 0: batches from concurrent callers never merge
 }
 
-// ExecuteBatched runs a set of independent GemmCalls through the elastic
-// batch path: transpose-pair duplicates are strength-reduced to a copy,
-// the rest are split by padded shape class (mixed-shape submissions are
-// legal — they simply split), and each class group is submitted to the
-// cross-fragment aggregator. Counting: executed calls add to GEMMCalls and
-// FLOPs; skipped calls add only to TransposeSkips (§V-D — fewer invocations,
-// identical results). Blocks until every call's C is final.
-func ExecuteBatched(calls []GemmCall, ops *Ops) {
-	if ops == nil {
-		ops = &DefaultOps
-	}
-	if !gemmBatching.Load() {
-		for i := range calls {
-			c := &calls[i]
-			Gemm(c.TransA, c.TransB, c.Alpha, c.A, c.B, c.Beta, c.C, ops)
-		}
-		return
-	}
-
-	// Strength reduction: find calls whose result is the exact transpose of
-	// an earlier call in this submission. Pointer-keyed lookup: a pair match
-	// requires j's (A, B) to be i's (B, A).
-	type opsKey struct{ a, b *Matrix }
-	byOps := make(map[opsKey]int, len(calls))
-	skipOf := make([]int, len(calls)) // index of the source call, or -1
-	for i := range calls {
-		c := &calls[i]
-		skipOf[i] = -1
-		if src, ok := byOps[opsKey{c.B, c.A}]; ok && transposePairOf(&calls[src], c) {
-			skipOf[i] = src
-			ops.TransposeSkips.Add(1)
-			continue
-		}
-		// First executed call with these operands wins the slot; later
-		// identical-operand calls would be their own pair sources.
-		if _, dup := byOps[opsKey{c.A, c.B}]; !dup {
-			byOps[opsKey{c.A, c.B}] = i
-		}
-	}
-
-	// Split executed calls by padded shape class and submit each group.
-	groups := map[batchClass][]GemmCall{}
-	var order []batchClass // deterministic submission order
-	for i := range calls {
-		if skipOf[i] >= 0 {
-			continue
-		}
-		c := &calls[i]
-		ops.GEMMCalls.Add(1)
-		ops.FLOPs.Add(c.FLOPs())
-		key := classOf(c)
-		if _, ok := groups[key]; !ok {
-			order = append(order, key)
-		}
-		groups[key] = append(groups[key], *c)
-	}
-	ops.BatchCalls.Add(int64(len(order)))
-	tickets := make([]par.Ticket, 0, len(order))
-	for _, key := range order {
-		tickets = append(tickets, gemmBatcher.Submit(key, groups[key]))
-	}
-	for _, t := range tickets {
-		t.Wait()
-	}
-
-	// All sources are final; materialize the skipped results.
-	for i := range calls {
-		if src := skipOf[i]; src >= 0 {
-			transposeInto(calls[i].C, calls[src].C)
-		}
-	}
-}
+// GemmBatchStats returns the process-wide batch counters. It stays because
+// the perfbench harness reports linalg.batch_flushes and
+// linalg.batch_merge_frac from it.
+func GemmBatchStats() BatchStats { return BatchStats{Flushes: batchFlushes.Load()} }

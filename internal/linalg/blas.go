@@ -9,19 +9,13 @@ import (
 // Ops tracks BLAS-level operation counts and floating-point operation counts.
 // The DFPT engine uses these counters to demonstrate the symmetry-aware
 // strength reduction (paper §V-D, Fig. 6) — fewer GEMM/GEMV invocations for
-// identical results — and the elastic offloading batcher uses the per-call
-// FLOP estimate to group calls of similar computational strength (§V-C).
+// identical results.
 //
 // Counters are updated atomically so concurrent workers can share them.
 type Ops struct {
-	GEMMCalls  atomic.Int64
-	GEMVCalls  atomic.Int64
-	FLOPs      atomic.Int64
-	BatchCalls atomic.Int64 // batched-GEMM workloads issued to an accelerator
-	// TransposeSkips counts GEMMs the batch planner never executed because
-	// their result is the exact transpose of another call in the same batch
-	// (§V-D strength reduction); the skipped FLOPs are excluded from FLOPs.
-	TransposeSkips atomic.Int64
+	GEMMCalls atomic.Int64
+	GEMVCalls atomic.Int64
+	FLOPs     atomic.Int64
 }
 
 // Reset zeroes all counters.
@@ -29,13 +23,11 @@ func (o *Ops) Reset() {
 	o.GEMMCalls.Store(0)
 	o.GEMVCalls.Store(0)
 	o.FLOPs.Store(0)
-	o.BatchCalls.Store(0)
-	o.TransposeSkips.Store(0)
 }
 
 // Snapshot returns the current counter values.
-func (o *Ops) Snapshot() (gemm, gemv, flops, batches int64) {
-	return o.GEMMCalls.Load(), o.GEMVCalls.Load(), o.FLOPs.Load(), o.BatchCalls.Load()
+func (o *Ops) Snapshot() (gemm, gemv, flops int64) {
+	return o.GEMMCalls.Load(), o.GEMVCalls.Load(), o.FLOPs.Load()
 }
 
 // DefaultOps is the process-wide counter set used when no explicit Ops is
@@ -79,8 +71,8 @@ func gemmParName(transA, transB bool) string {
 // All four trans cases run the packed blocked kernel (block.go): op(A) and
 // op(B) are packed into 4×4 micro-tile panels and each output element
 // accumulates its k terms in ascending order in a single chain, so results
-// are bit-identical at any kernel width, with batching on or off, and to the
-// naive triple-loop reference. Row-panel chunks shard across the par pool
+// are bit-identical at any kernel width, inside or outside a batch, and to
+// the naive triple-loop reference. Row-panel chunks shard across the par pool
 // and double as cache tiles.
 func Gemm(transA, transB bool, alpha float64, a, b *Matrix, beta float64, c *Matrix, ops *Ops) {
 	am, ak := a.Rows, a.Cols

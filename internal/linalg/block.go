@@ -7,7 +7,7 @@ import (
 )
 
 // This file implements the SIMD-friendly blocked GEMM kernel behind both the
-// direct Gemm entry point and the elastic batch executor (paper §V-C): op(A)
+// direct Gemm entry point and the batch executor (paper §V-C): op(A)
 // and op(B) are packed into register-tile panels (zero-padded to the 4×4
 // micro-tile), the micro-kernel accumulates a 4×4 block of C in sixteen
 // independent scalar chains (the ILP a superscalar core — or a compiler's
@@ -20,12 +20,12 @@ import (
 // terms are added in ascending order, then combined as alpha·s + beta·C[i,j]
 // (beta == 0 omits the C term entirely, per BLAS convention). Because each
 // element's chain is independent, *any* loop blocking over i and j — tiles,
-// panels, row chunks, batch grouping — yields bit-identical results; and
+// panels, row chunks, batch fan-out — yields bit-identical results; and
 // because zero-padded tail rows/columns are discarded by the masked
 // write-back while k is never padded, padding cannot perturb bits either.
 // This is what makes blocked == unblocked == batched == the naive
-// triple-loop reference (gemmref), exactly, and keeps the PR 4 width/batch
-// invariance contract intact.
+// triple-loop reference (gemmref), exactly, and keeps the width-invariance
+// contract intact.
 
 const (
 	// mr×nr is the register micro-tile: 8 independent accumulator chains.

@@ -60,13 +60,10 @@ type HostExecutor struct {
 	Ops *Ops
 }
 
-// Execute runs the calls through the elastic batch path (batch.go):
-// transpose-pair duplicates are strength-reduced, the rest group by padded
-// shape class and fan across the kernel pool, merging with concurrent
-// cycles' submissions. Calls write disjoint C matrices (the DFPT grid
-// phases build one per batch) and every call computes its true shape with
-// the same blocked kernel as a direct Gemm, so batching — on, off, merged
-// or not — cannot change results.
+// Execute runs the calls as one fan-out across the kernel pool
+// (ExecuteBatched). Calls write disjoint C matrices (the DFPT grid phases
+// build one per batch) and every call computes its true shape with the same
+// blocked kernel as a direct Gemm, so results match calling Gemm one by one.
 func (h *HostExecutor) Execute(calls []GemmCall) {
 	ExecuteBatched(calls, h.Ops)
 }

@@ -160,7 +160,7 @@ func TestGemmCounters(t *testing.T) {
 	c := NewMatrix(8, 8)
 	Gemm(false, false, 1, a, b, 0, c, &ops)
 	Gemm(false, false, 1, a, b, 0, c, &ops)
-	gemm, _, flops, _ := ops.Snapshot()
+	gemm, _, flops := ops.Snapshot()
 	if gemm != 2 {
 		t.Fatalf("GEMM calls = %d, want 2", gemm)
 	}
@@ -168,7 +168,7 @@ func TestGemmCounters(t *testing.T) {
 		t.Fatalf("FLOPs = %d, want %d", flops, want)
 	}
 	ops.Reset()
-	if g, _, f, _ := ops.Snapshot(); g != 0 || f != 0 {
+	if g, _, f := ops.Snapshot(); g != 0 || f != 0 {
 		t.Fatal("Reset did not clear counters")
 	}
 }

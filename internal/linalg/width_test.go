@@ -85,50 +85,53 @@ func TestGemvWidthInvariance(t *testing.T) {
 	}
 }
 
-// TestExecuteWidthInvariance checks the batch fan-out path: a HostExecutor
-// run of many independent GemmCalls matches the serial loop exactly.
+// TestExecuteWidthInvariance checks the batch fan-out path: a mixed-shape
+// batch run through HostExecutor at kernel widths {1, 3, NumCPU} must give
+// bit-identical outputs — how the pool splits the batch is invisible.
 func TestExecuteWidthInvariance(t *testing.T) {
 	defer par.SetBudget(0)
-	rng := rand.New(rand.NewSource(13))
-	const nc = 24
+	shapes := [][3]int{{30, 20, 25}, {33, 40, 31}, {7, 5, 3}, {64, 32, 32}, {1, 9, 1}}
 	mk := func() ([]GemmCall, []*Matrix) {
-		calls := make([]GemmCall, nc)
-		outs := make([]*Matrix, nc)
-		for i := range calls {
-			a := randomMatrix(rng, 30, 20)
-			b := randomMatrix(rng, 20, 25)
-			c := NewMatrix(30, 25)
-			calls[i] = GemmCall{Alpha: 1, A: a, B: b, C: c}
-			outs[i] = c
+		rng := rand.New(rand.NewSource(13))
+		var calls []GemmCall
+		var outs []*Matrix
+		for i := 0; i < 24; i++ {
+			sh := shapes[i%len(shapes)]
+			m, k, n := sh[0], sh[1], sh[2]
+			c := NewMatrix(m, n)
+			calls = append(calls, GemmCall{Alpha: 1, A: randomMatrix(rng, m, k), B: randomMatrix(rng, k, n), C: c})
+			outs = append(outs, c)
 		}
 		return calls, outs
 	}
-	rng = rand.New(rand.NewSource(13))
-	calls1, outs1 := mk()
-	rng = rand.New(rand.NewSource(13))
-	calls4, outs4 := mk()
 
-	par.SetBudget(1)
-	(&HostExecutor{}).Execute(calls1)
-	par.SetBudget(4)
-	(&HostExecutor{}).Execute(calls4)
-	for i := range outs1 {
-		for j, v := range outs1[i].Data {
-			if math.Float64bits(v) != math.Float64bits(outs4[i].Data[j]) {
-				t.Fatalf("batch call %d element %d drifts across widths", i, j)
+	var ref []*Matrix
+	for _, w := range []int{1, 3, runtime.NumCPU()} {
+		par.SetBudget(w)
+		calls, outs := mk()
+		(&HostExecutor{}).Execute(calls)
+		if ref == nil {
+			ref = outs
+			continue
+		}
+		for i := range outs {
+			for j, v := range outs[i].Data {
+				if math.Float64bits(v) != math.Float64bits(ref[i].Data[j]) {
+					t.Fatalf("width %d: call %d element %d differs from width 1", w, i, j)
+				}
 			}
 		}
 	}
 }
 
 // TestExecuteBatchedWidthAndBatchingInvariance runs a mixed-shape batch —
-// several padded shape classes plus a literal transpose pair — through
+// several shapes plus the transpose of the first call, C = Bᵀ·Aᵀ — through
 // ExecuteBatched over the cross product of kernel widths {1, 3, NumCPU} and
-// batching {on, off}. Every combination must produce bit-identical outputs:
-// grouping, class padding, pair skips, and pool width all invisible.
+// batching {on, off}, where "on" submits the whole batch as one fan-out and
+// "off" submits each call as its own. Every combination must produce
+// bit-identical outputs: batch composition and pool width are invisible.
 func TestExecuteBatchedWidthAndBatchingInvariance(t *testing.T) {
 	defer par.SetBudget(0)
-	defer SetGemmBatching(true)
 	shapes := [][3]int{{30, 20, 25}, {33, 40, 31}, {7, 5, 3}, {64, 32, 32}, {1, 9, 1}}
 
 	mk := func() ([]GemmCall, []*Matrix) {
@@ -137,18 +140,13 @@ func TestExecuteBatchedWidthAndBatchingInvariance(t *testing.T) {
 		var outs []*Matrix
 		for _, sh := range shapes {
 			m, k, n := sh[0], sh[1], sh[2]
-			a := randomMatrix(rng, m, k)
-			b := randomMatrix(rng, k, n)
 			c := NewMatrix(m, n)
-			calls = append(calls, GemmCall{Alpha: 1, A: a, B: b, C: c})
+			calls = append(calls, GemmCall{Alpha: 1, A: randomMatrix(rng, m, k), B: randomMatrix(rng, k, n), C: c})
 			outs = append(outs, c)
 		}
-		// Transpose pair of the first call: C = Bᵀ·Aᵀ = (A·B)ᵀ.
 		first := calls[0]
 		ct := NewMatrix(first.C.Cols, first.C.Rows)
-		calls = append(calls, GemmCall{
-			TransA: true, TransB: true, Alpha: 1, A: first.B, B: first.A, C: ct,
-		})
+		calls = append(calls, GemmCall{TransA: true, TransB: true, Alpha: 1, A: first.B, B: first.A, C: ct})
 		outs = append(outs, ct)
 		return calls, outs
 	}
@@ -157,10 +155,15 @@ func TestExecuteBatchedWidthAndBatchingInvariance(t *testing.T) {
 	var refDesc string
 	for _, batching := range []bool{true, false} {
 		for _, w := range []int{1, 3, runtime.NumCPU()} {
-			SetGemmBatching(batching)
 			par.SetBudget(w)
 			calls, outs := mk()
-			ExecuteBatched(calls, nil)
+			if batching {
+				ExecuteBatched(calls, nil)
+			} else {
+				for i := range calls {
+					ExecuteBatched(calls[i:i+1], nil)
+				}
+			}
 			if ref == nil {
 				ref, refDesc = outs, "width 1 / batching on"
 				continue
@@ -172,6 +175,14 @@ func TestExecuteBatchedWidthAndBatchingInvariance(t *testing.T) {
 							w, batching, i, j, refDesc)
 					}
 				}
+			}
+		}
+	}
+	// The transposed call is the exact transpose of the first.
+	for i := 0; i < ref[0].Rows; i++ {
+		for j := 0; j < ref[0].Cols; j++ {
+			if math.Float64bits(ref[len(ref)-1].At(j, i)) != math.Float64bits(ref[0].At(i, j)) {
+				t.Fatalf("transposed call [%d,%d] is not the transpose of call 0 bitwise", j, i)
 			}
 		}
 	}

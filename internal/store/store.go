@@ -454,11 +454,16 @@ func (s *Store) evict(k Key) {
 
 // evictMissing drops an index entry whose object file is absent — unless the
 // entry's object commit is still in flight (the racing put's rename is about
-// to make the file appear, so the miss is transient, not damage).
+// to make the file appear, so the miss is transient, not damage). The file
+// is checked again under the lock: a put whose commit landed after the
+// caller's read has cleared writing, and dropping its entry would make the
+// next Get adopt the object and count the put twice.
 func (s *Store) evictMissing(k Key) {
 	s.mu.Lock()
 	if e := s.idx[k]; e != nil && !e.writing {
-		delete(s.idx, k)
+		if _, err := os.Stat(s.objectPath(k)); os.IsNotExist(err) {
+			delete(s.idx, k)
+		}
 	}
 	s.mu.Unlock()
 }
