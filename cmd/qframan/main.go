@@ -40,9 +40,9 @@ func main() {
 	solvate := flag.Bool("solvate", false, "solvate the -seq protein in water")
 
 	var ff fragFlags
-	flag.StringVar(&ff.partitioner, "partitioner", "qf", "fragmentation engine: qf (peptide/water chemistry rules) or graph (general bond-graph min-cut; required for systems with generic molecules)")
-	flag.IntVar(&ff.fragSize, "frag-size", 0, "graph partitioner: soft fragment-size target in atoms (0 = default 24)")
-	flag.IntVar(&ff.fragMax, "frag-max", 0, "graph partitioner: hard fragment-size cap for the cleanup pass (0 = 2×frag-size)")
+	flag.StringVar(&ff.partitioner, "partitioner", "", "fragmentation engine: qf (peptide/water chemistry rules) or graph (general bond-graph min-cut); empty picks graph for systems with generic molecules and qf otherwise")
+	flag.IntVar(&ff.fragSize, "frag-size", 0, "graph partitioner: soft fragment-size target in atoms (0 = default 24; requires -partitioner graph)")
+	flag.IntVar(&ff.fragMax, "frag-max", 0, "graph partitioner: hard fragment-size cap for the cleanup pass (0 = 2×frag-size; requires -partitioner graph)")
 
 	fmin := flag.Float64("fmin", 100, "spectrum start (cm⁻¹)")
 	fmax := flag.Float64("fmax", 4000, "spectrum end (cm⁻¹)")
@@ -98,8 +98,18 @@ type fragFlags struct {
 	fragMax     int
 }
 
-// apply resolves the partitioner and wires it into the pipeline config.
+// apply resolves the partitioner and wires it into the pipeline config. The
+// graph size knobs are refused unless -partitioner graph selects the engine
+// they tune, rather than silently ignored.
 func (ff fragFlags) apply(cfg *core.Config) error {
+	if ff.partitioner != "graph" {
+		if ff.fragSize != 0 {
+			return fmt.Errorf("-frag-size tunes the graph partitioner; it requires -partitioner graph")
+		}
+		if ff.fragMax != 0 {
+			return fmt.Errorf("-frag-max tunes the graph partitioner; it requires -partitioner graph")
+		}
+	}
 	gOpt := fragment.DefaultGraphOptions()
 	if ff.fragSize > 0 {
 		gOpt.TargetAtoms = ff.fragSize

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"qframan/internal/core"
-	"qframan/internal/fragment"
 	"qframan/internal/geom"
 	"qframan/internal/sched"
 	"qframan/internal/store"
@@ -53,7 +52,7 @@ func trajExp() error {
 	seen := make(map[store.Key]bool)
 	expectedNew := make([]int, nframes)
 	for i, sys := range systems {
-		dec, err := fragment.Decompose(sys, cfg.Fragment)
+		dec, err := core.Partition(sys, cfg)
 		if err != nil {
 			return err
 		}

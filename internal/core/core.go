@@ -17,12 +17,13 @@ import (
 	"qframan/internal/structure"
 )
 
-// Config bundles the pipeline settings.
+// Config bundles the pipeline settings. It is the one configuration every
+// frontend (qframan, qfserve, traj, qfscale) builds and hands to the
+// pipeline.
 type Config struct {
 	Fragment fragment.Options
-	// Partitioner overrides the fragmentation engine. nil selects the QF
-	// engine configured by Fragment; set a fragment.GraphPartitioner for
-	// the general graph engine (see FRAGMENTATION.md).
+	// Partitioner overrides the fragmentation engine. nil lets Partition
+	// choose from the input structure (see Partition and FRAGMENTATION.md).
 	Partitioner fragment.Partitioner
 	Sched       sched.Options
 	Raman       raman.Options
@@ -30,21 +31,38 @@ type Config struct {
 	// diagonalization — only feasible for small systems; used by the
 	// validation ladder.
 	UseDense bool
-	// RigidCutoff (cm⁻¹) drops rigid-body modes in the dense path.
-	RigidCutoff float64
 	// IR additionally computes the infrared spectrum from the dipole
 	// derivatives the displacement loop already produces.
 	IR bool
 }
 
+// rigidCutoff (cm⁻¹) drops rigid-body modes in the dense path.
+const rigidCutoff = 50
+
 // DefaultConfig returns production settings.
 func DefaultConfig() Config {
 	return Config{
-		Fragment:    fragment.DefaultOptions(),
-		Sched:       sched.DefaultOptions(),
-		Raman:       raman.DefaultOptions(),
-		RigidCutoff: 50,
+		Fragment: fragment.DefaultOptions(),
+		Sched:    sched.DefaultOptions(),
+		Raman:    raman.DefaultOptions(),
 	}
+}
+
+// Partition decomposes a system with the engine the config selects — the
+// one place a config becomes an Eq. 1 decomposition, so every frontend
+// fragments the same input the same way. cfg.Partitioner wins when set.
+// Otherwise the input decides: a system with generic molecules, which the
+// QF chemistry rules cannot fragment, gets the graph engine at its default
+// options; everything else gets the QF engine configured by cfg.Fragment.
+func Partition(sys *structure.System, cfg Config) (*fragment.Decomposition, error) {
+	part := cfg.Partitioner
+	if part == nil {
+		part = fragment.QFPartitioner{Opt: cfg.Fragment}
+		if len(sys.Molecules) > 0 {
+			part = fragment.GraphPartitioner{Opt: fragment.DefaultGraphOptions()}
+		}
+	}
+	return part.Partition(sys)
 }
 
 // Result is the full pipeline output.
@@ -58,13 +76,9 @@ type Result struct {
 
 // ComputeRaman runs the QF-RAMAN pipeline on a molecular system.
 func ComputeRaman(sys *structure.System, cfg Config) (*Result, error) {
-	part := cfg.Partitioner
-	if part == nil {
-		part = fragment.QFPartitioner{Opt: cfg.Fragment}
-	}
 	sc := cfg.Sched.Obs
 	_, dspan := sc.Begin("decompose", "core", obs.A("atoms", int64(sys.NumAtoms())))
-	dec, err := part.Partition(sys)
+	dec, err := Partition(sys, cfg)
 	dspan.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: decompose: %w", err)
@@ -119,7 +133,7 @@ func SpectrumFromGlobal(g *hessian.Global, cfg Config) (*raman.Spectrum, *raman.
 	var spec *raman.Spectrum
 	var err error
 	if cfg.UseDense {
-		spec, err = raman.DenseSpectrum(g, cfg.Raman, cfg.RigidCutoff)
+		spec, err = raman.DenseSpectrum(g, cfg.Raman, rigidCutoff)
 	} else {
 		spec, err = raman.LanczosSpectrum(g, cfg.Raman)
 	}
@@ -131,7 +145,7 @@ func SpectrumFromGlobal(g *hessian.Global, cfg Config) (*raman.Spectrum, *raman.
 	if cfg.IR {
 		_, ispan := sc.Begin("spectrum.ir", "core", obs.A("dense", solver))
 		if cfg.UseDense {
-			ir, err = raman.DenseIRSpectrum(g, cfg.Raman, cfg.RigidCutoff)
+			ir, err = raman.DenseIRSpectrum(g, cfg.Raman, rigidCutoff)
 		} else {
 			ir, err = raman.LanczosIRSpectrum(g, cfg.Raman)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"qframan/internal/fragment"
@@ -150,4 +151,48 @@ func TestHessianOnlyRun(t *testing.T) {
 	if res.Global.H.NNZ() == 0 {
 		t.Fatal("empty Hessian")
 	}
+}
+
+// TestPartitionRule pins the one engine-selection rule every frontend
+// shares: a set Partitioner wins; nil picks the graph engine at default
+// options for generic-molecule systems and the QF engine otherwise.
+func TestPartitionRule(t *testing.T) {
+	cfg := DefaultConfig()
+	dimer := structure.BuildWaterDimerSystem(1)
+	melt := structure.BuildPolymerMelt(1, 4, 5)
+	for _, tc := range []struct {
+		name string
+		sys  *structure.System
+		part fragment.Partitioner
+		want *fragment.Decomposition
+	}{
+		{"nil/water", dimer, nil, mustPartition(t, fragment.QFPartitioner{Opt: cfg.Fragment}, dimer)},
+		{"nil/melt", melt, nil, mustPartition(t, fragment.GraphPartitioner{Opt: fragment.DefaultGraphOptions()}, melt)},
+		{"graph/water", dimer, fragment.GraphPartitioner{Opt: fragment.DefaultGraphOptions()},
+			mustPartition(t, fragment.GraphPartitioner{Opt: fragment.DefaultGraphOptions()}, dimer)},
+	} {
+		c := cfg
+		c.Partitioner = tc.part
+		got, err := Partition(tc.sys, c)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Fatalf("%s: decomposition (%s, %d fragments) differs from the expected engine's (%s, %d fragments)",
+				tc.name, got.Stats.Partitioner, len(got.Fragments), tc.want.Stats.Partitioner, len(tc.want.Fragments))
+		}
+	}
+	cfg.Partitioner = fragment.QFPartitioner{Opt: cfg.Fragment}
+	if _, err := Partition(melt, cfg); err == nil {
+		t.Fatal("an explicit QF partitioner accepted a generic-molecule system")
+	}
+}
+
+func mustPartition(t *testing.T, p fragment.Partitioner, sys *structure.System) *fragment.Decomposition {
+	t.Helper()
+	dec, err := p.Partition(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dec
 }

@@ -58,8 +58,9 @@ func TestGraphMatchesQFFoldedProtein(t *testing.T) {
 }
 
 // TestPolymerMeltEndToEnd runs a non-protein workload through the full
-// pipeline: the QF engine must refuse it and the graph engine must produce a
-// spectrum with C–H/O–H stretch bands.
+// pipeline: the QF engine must refuse it, the default config must pick the
+// default graph engine for it, and the graph engine must produce a spectrum
+// with C–H/O–H stretch bands.
 func TestPolymerMeltEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dense pipeline")
@@ -68,8 +69,26 @@ func TestPolymerMeltEndToEnd(t *testing.T) {
 	cfg := fastConfig()
 	cfg.UseDense = true
 
-	if _, err := ComputeRaman(sys, cfg); err == nil {
+	qf := cfg
+	qf.Partitioner = fragment.QFPartitioner{Opt: cfg.Fragment}
+	if _, err := ComputeRaman(sys, qf); err == nil {
 		t.Fatal("QF engine accepted a generic-molecule system")
+	}
+
+	// nil Partitioner: the input rule picks the graph engine at its
+	// default options, bit for bit.
+	resAuto, err := ComputeRaman(sys, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	explicit := cfg
+	explicit.Partitioner = fragment.GraphPartitioner{Opt: fragment.DefaultGraphOptions()}
+	resExplicit, err := ComputeRaman(sys, explicit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !specEqual(resAuto.Spectrum, resExplicit.Spectrum) {
+		t.Fatal("default config's spectrum differs from an explicit default GraphPartitioner's")
 	}
 
 	gOpt := fragment.DefaultGraphOptions()

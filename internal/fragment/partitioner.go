@@ -44,10 +44,13 @@ func (p QFPartitioner) Partition(sys *structure.System) (*Decomposition, error) 
 }
 
 // NewPartitioner resolves a CLI partitioner name. qfOpt configures the "qf"
-// engine and gOpt the "graph" engine.
+// engine and gOpt the "graph" engine. The empty name returns nil: no
+// override, so core.Partition picks the engine from the input structure.
 func NewPartitioner(name string, qfOpt Options, gOpt GraphOptions) (Partitioner, error) {
 	switch name {
-	case "", "qf":
+	case "":
+		return nil, nil
+	case "qf":
 		return QFPartitioner{Opt: qfOpt}, nil
 	case "graph":
 		return GraphPartitioner{Opt: gOpt}, nil

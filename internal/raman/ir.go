@@ -83,7 +83,7 @@ func LanczosIRSpectrum(g *hessian.Global, opt Options) (*Spectrum, error) {
 	xs := opt.axis()
 	out := &Spectrum{Freq: xs, Intensity: make([]float64, len(xs))}
 	trans := translationVectors(g.Masses)
-	lopt := lanczos.Options{K: opt.LanczosK, Reorthogonalize: opt.Reorthogonalize}
+	lopt := lanczos.Options{K: opt.LanczosK, Reorthogonalize: true}
 	for k := 0; k < 3; k++ {
 		d := append([]float64(nil), g.DDipole[k]...)
 		project(d, trans)

@@ -31,8 +31,6 @@ type Options struct {
 	LanczosK int
 	// UseGAGQ selects the generalized averaged Gauss rule (recommended).
 	UseGAGQ bool
-	// Reorthogonalize controls the Lanczos iteration.
-	Reorthogonalize bool
 }
 
 // DefaultOptions covers the full vibrational range with the paper's
@@ -40,10 +38,9 @@ type Options struct {
 func DefaultOptions() Options {
 	return Options{
 		FreqMin: 0, FreqMax: 4000, FreqStep: 2,
-		Sigma:           5,
-		LanczosK:        200,
-		UseGAGQ:         true,
-		Reorthogonalize: true,
+		Sigma:    5,
+		LanczosK: 200,
+		UseGAGQ:  true,
 	}
 }
 
@@ -182,7 +179,7 @@ func LanczosSpectrum(g *hessian.Global, opt Options) (*Spectrum, error) {
 	out := &Spectrum{Freq: xs, Intensity: make([]float64, len(xs))}
 	trans := translationVectors(g.Masses)
 
-	lopt := lanczos.Options{K: opt.LanczosK, Reorthogonalize: opt.Reorthogonalize}
+	lopt := lanczos.Options{K: opt.LanczosK, Reorthogonalize: true}
 	addDensity := func(d []float64, weight float64) error {
 		dp := append([]float64(nil), d...)
 		project(dp, trans)

@@ -26,7 +26,6 @@ func TestBackpressureBurstGets429(t *testing.T) {
 		MaxQueuedJobs:      3,
 		MaxQueuedPerTenant: 3,
 		RetryAfter:         7 * time.Second,
-		SkipSpectrum:       true,
 		Process:            blockingEngine(block),
 	})
 
@@ -98,7 +97,6 @@ func TestBackpressurePerTenantBound(t *testing.T) {
 		Runners:            1,
 		MaxQueuedJobs:      10,
 		MaxQueuedPerTenant: 2,
-		SkipSpectrum:       true,
 		Process:            blockingEngine(block),
 	})
 	defer close(block)
@@ -140,7 +138,6 @@ func TestInflightFragmentGate(t *testing.T) {
 		Runners:              4,
 		NumLeaders:           2,
 		MaxInflightFragments: gate,
-		SkipSpectrum:         true,
 		Process:              engine,
 	})
 	var ids []string

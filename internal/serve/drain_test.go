@@ -14,9 +14,8 @@ import (
 func TestGracefulDrainFinishesQueuedWork(t *testing.T) {
 	block := make(chan struct{})
 	s, ts := newTestServer(t, Config{
-		Runners:      1,
-		SkipSpectrum: true,
-		Process:      blockingEngine(block),
+		Runners: 1,
+		Process: blockingEngine(block),
 	})
 	var ids []string
 	for i := 0; i < 3; i++ {
@@ -68,9 +67,8 @@ func TestDrainGraceExpiryCancelsStragglers(t *testing.T) {
 	block := make(chan struct{}) // never closed: jobs hang until cancelled
 	defer close(block)
 	s, ts := newTestServer(t, Config{
-		Runners:      1,
-		SkipSpectrum: true,
-		Process:      blockingEngine(block),
+		Runners: 1,
+		Process: blockingEngine(block),
 	})
 	running := submitOK(t, ts, SubmitRequest{Tenant: "t", System: SystemSpec{Kind: "dimers", N: 1}})
 	queued := submitOK(t, ts, SubmitRequest{Tenant: "t", System: SystemSpec{Kind: "dimers", N: 1}})

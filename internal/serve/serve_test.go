@@ -17,11 +17,12 @@ import (
 )
 
 // fakeData is a deterministic, correctly-sized synthetic payload: a
-// symmetric 3N×3N Hessian whose entries depend only on the index pattern,
-// so identical-geometry fragments produce identical data (consistent with
-// dedup) and the store's canonical-frame roundtrip has real dimensions to
-// rotate. (A 1×1 stub would fail every checkpoint Put on non-degenerate
-// geometries.)
+// symmetric 3N×3N Hessian plus ∂α and ∂μ vectors whose entries depend only
+// on the index pattern, so identical-geometry fragments produce identical
+// data (consistent with dedup), the store's canonical-frame roundtrip has
+// real dimensions to rotate, and jobs run the full production path through
+// assembly and spectrum. (A 1×1 stub would fail every checkpoint Put on
+// non-degenerate geometries.)
 func fakeData(f *fragment.Fragment) *hessian.FragmentData {
 	n := 3 * f.NumAtoms()
 	h := linalg.NewMatrix(n, n)
@@ -32,10 +33,23 @@ func fakeData(f *fragment.Fragment) *hessian.FragmentData {
 			h.Set(j, i, v)
 		}
 	}
-	return &hessian.FragmentData{Hess: h}
+	fd := &hessian.FragmentData{Hess: h}
+	for c := range fd.DAlpha {
+		fd.DAlpha[c] = make([]float64, n)
+		for i := range fd.DAlpha[c] {
+			fd.DAlpha[c][i] = float64((i*13+c*7)%23) / 23
+		}
+	}
+	for k := range fd.DDipole {
+		fd.DDipole[k] = make([]float64, n)
+		for i := range fd.DDipole[k] {
+			fd.DDipole[k][i] = float64((i*11+k*5)%19) / 19
+		}
+	}
+	return fd
 }
 
-// fakeEngine is an instant fake Process (requires Config.SkipSpectrum).
+// fakeEngine is an instant fake Process.
 func fakeEngine(f *fragment.Fragment, _ sched.Options) (*hessian.FragmentData, error) {
 	return fakeData(f), nil
 }
@@ -65,13 +79,12 @@ func openStore(t *testing.T, dir string) *store.Store {
 	return s
 }
 
-// newTestServer builds a server (fake engine unless cfg.Process set and
-// SkipSpectrum cleared) plus its httptest frontend.
+// newTestServer builds a server (fake engine unless cfg.Process is set)
+// plus its httptest frontend.
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	if cfg.Process == nil && !cfg.SkipSpectrum {
+	if cfg.Process == nil {
 		cfg.Process = fakeEngine
-		cfg.SkipSpectrum = true
 	}
 	s := New(cfg)
 	ts := httptest.NewServer(s.Handler())

@@ -16,7 +16,6 @@ import (
 	"qframan/internal/fragment"
 	"qframan/internal/hessian"
 	"qframan/internal/obs"
-	"qframan/internal/raman"
 	"qframan/internal/sched"
 	"qframan/internal/store"
 	"qframan/internal/structure"
@@ -99,15 +98,10 @@ type Config struct {
 	MaxInflightFragments int
 
 	// NumLeaders/WorkersPerLeader shape each job's scheduler runtime;
-	// zero values keep sched.DefaultOptions.
+	// zero values keep core.DefaultConfig's. Every other pipeline setting
+	// is core.DefaultConfig's too, overlaid with the job's SpectrumSpec.
 	NumLeaders       int
 	WorkersPerLeader int
-	// Fragment controls decomposition; the zero value selects
-	// fragment.DefaultOptions.
-	Fragment fragment.Options
-	// Raman is the spectrum default each job's SpectrumSpec overlays; the
-	// zero value selects raman.DefaultOptions.
-	Raman raman.Options
 
 	// Process overrides the fragment engine (tests, custom backends); nil
 	// selects sched.DefaultProcess, the real SCF+DFPT pipeline.
@@ -118,10 +112,6 @@ type Config struct {
 	// by the backend contract; Process and MaxInflightFragments do not
 	// apply to backend-dispatched jobs.
 	Backend sched.Backend
-	// SkipSpectrum stops jobs after the fragment loop: no Hessian
-	// assembly, no spectrum. Test engines producing synthetic
-	// FragmentData use it; the report and dedup accounting still flow.
-	SkipSpectrum bool
 }
 
 func (c *Config) fillDefaults() {
@@ -157,12 +147,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.MaxInflightFragments == 0 {
 		c.MaxInflightFragments = DefaultMaxInflightFrag
-	}
-	if c.Fragment.LambdaRR == 0 {
-		c.Fragment = fragment.DefaultOptions()
-	}
-	if c.Raman.FreqStep == 0 {
-		c.Raman = raman.DefaultOptions()
 	}
 }
 
@@ -469,16 +453,19 @@ func isCancelled(err error) bool {
 	return err != nil && errors.Is(err, sched.ErrCancelled)
 }
 
-// execute runs decomposition, the shared-store scheduler, and (unless
-// configured away) assembly + spectrum. It returns the service report
-// digest even on failure when one is available.
+// execute runs one job through the pipeline every frontend shares:
+// core.DefaultConfig overlaid with the daemon's runtime wiring and the
+// job's spectrum settings, core.Partition, then core.ComputeRamanDecomposed.
 func (s *Server) execute(j *Job) (*ReportSummary, *SpectrumPayload, error) {
-	dec, err := fragment.Decompose(j.sys, s.cfg.Fragment)
+	cfg := core.DefaultConfig()
+	cfg.UseDense = j.req.Spectrum.Dense
+	j.req.Spectrum.apply(&cfg.Raman)
+	dec, err := core.Partition(j.sys, cfg)
 	if err != nil {
 		return nil, nil, fmt.Errorf("decompose: %w", err)
 	}
 
-	opt := sched.DefaultOptions()
+	opt := &cfg.Sched
 	if s.cfg.NumLeaders > 0 {
 		opt.NumLeaders = s.cfg.NumLeaders
 	}
@@ -526,29 +513,7 @@ func (s *Server) execute(j *Job) (*ReportSummary, *SpectrumPayload, error) {
 	j.queueDepth = jobReg.Gauge(obs.MetricQueueDepth)
 	j.mu.Unlock()
 
-	var rep *sched.Report
-	var spec *SpectrumPayload
-	if s.cfg.SkipSpectrum {
-		_, rep, err = sched.Run(dec, opt)
-	} else {
-		ropt := s.cfg.Raman
-		j.req.Spectrum.apply(&ropt)
-		cfg := core.Config{
-			Fragment:    s.cfg.Fragment,
-			Sched:       opt,
-			Raman:       ropt,
-			UseDense:    j.req.Spectrum.Dense,
-			RigidCutoff: 50,
-		}
-		var res *core.Result
-		res, err = core.ComputeRamanDecomposed(j.sys, dec, cfg)
-		if err == nil {
-			rep = res.SchedReport
-			if res.Spectrum != nil {
-				spec = &SpectrumPayload{Freq: res.Spectrum.Freq, Intensity: res.Spectrum.Intensity}
-			}
-		}
-	}
+	res, err := core.ComputeRamanDecomposed(j.sys, dec, cfg)
 
 	// Record what this job contributed to the shared store: any of its
 	// keys now present and unowned were first produced under this tenant.
@@ -568,9 +533,14 @@ func (s *Server) execute(j *Job) (*ReportSummary, *SpectrumPayload, error) {
 		s.mu.Unlock()
 	}
 
-	if rep == nil {
+	if err != nil {
 		return nil, nil, err
 	}
+	var spec *SpectrumPayload
+	if res.Spectrum != nil {
+		spec = &SpectrumPayload{Freq: res.Spectrum.Freq, Intensity: res.Spectrum.Intensity}
+	}
+	rep := res.SchedReport
 	sum := &ReportSummary{
 		Fragments:       len(dec.Fragments),
 		CacheHits:       rep.CacheHits,
@@ -586,7 +556,7 @@ func (s *Server) execute(j *Job) (*ReportSummary, *SpectrumPayload, error) {
 	}
 	s.reg.Counter(MetricCrossJobHits).Add(int64(crossJob))
 	s.reg.Counter(MetricCrossTenantHit).Add(int64(crossTenant))
-	return sum, spec, err
+	return sum, spec, nil
 }
 
 func (s *Server) countFinish(st JobState) {

@@ -116,9 +116,8 @@ func TestUnknownJob404s(t *testing.T) {
 func TestCancelQueuedJob(t *testing.T) {
 	block := make(chan struct{})
 	_, ts := newTestServer(t, Config{
-		Runners:      1,
-		SkipSpectrum: true,
-		Process:      blockingEngine(block),
+		Runners: 1,
+		Process: blockingEngine(block),
 	})
 	defer close(block)
 	// First job occupies the single runner…
@@ -196,9 +195,8 @@ func TestStatusAndMetricsEndpoints(t *testing.T) {
 func TestPriorityOrderWithinTenant(t *testing.T) {
 	block := make(chan struct{})
 	_, ts := newTestServer(t, Config{
-		Runners:      1,
-		SkipSpectrum: true,
-		Process:      blockingEngine(block),
+		Runners: 1,
+		Process: blockingEngine(block),
 	})
 	// Occupy the runner so subsequent submissions queue up.
 	submitOK(t, ts, SubmitRequest{Tenant: "t", System: SystemSpec{Kind: "dimers", N: 1}})

@@ -249,16 +249,6 @@ func (e *Engine) diff(dec *fragment.Decomposition) *diffResult {
 	return d
 }
 
-// partition fragments a frame with the engine configured in the pipeline
-// config (nil Partitioner → the QF engine), so trajectory runs use exactly
-// the partitioner a one-shot run over the same config would.
-func (e *Engine) partition(sys *structure.System) (*fragment.Decomposition, error) {
-	if p := e.opt.Core.Partitioner; p != nil {
-		return p.Partition(sys)
-	}
-	return fragment.Decompose(sys, e.opt.Core.Fragment)
-}
-
 // Step processes the next frame of the trajectory and returns its spectrum
 // and accounting. The first frame schedules every fragment — byte-for-byte
 // the same computation as a one-shot run over the same system and store.
@@ -268,7 +258,7 @@ func (e *Engine) Step(sys *structure.System) (*FrameResult, error) {
 	defer frameSpan.End()
 
 	_, dspan := frameSc.Begin("traj.decompose", "traj", obs.A("atoms", int64(sys.NumAtoms())))
-	dec, err := e.partition(sys)
+	dec, err := core.Partition(sys, e.opt.Core)
 	dspan.End()
 	if err != nil {
 		return nil, fmt.Errorf("traj: frame %d: decompose: %w", e.frame, err)
@@ -415,7 +405,7 @@ func (e *Engine) Step(sys *structure.System) (*FrameResult, error) {
 // computing run would schedule.
 func (e *Engine) Diff(sys *structure.System) (FrameReport, error) {
 	t0 := time.Now()
-	dec, err := e.partition(sys)
+	dec, err := core.Partition(sys, e.opt.Core)
 	if err != nil {
 		return FrameReport{}, fmt.Errorf("traj: frame %d: decompose: %w", e.frame, err)
 	}
